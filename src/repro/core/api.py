@@ -78,8 +78,16 @@ class ConnectivityPartitionView:
 
     answer = connected
 
-    def answer_many(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
-        """Batched :meth:`connected` (the facade's ``query_many`` shape)."""
+    def answer_many(
+        self, pairs: Sequence[tuple[int, int]], want_path: bool = False
+    ) -> list[bool]:
+        """Batched :meth:`connected` (the facade's ``query_many`` shape).
+
+        ``want_path`` is accepted, so callers that serve any
+        connectivity partition (the network server forwards it on every
+        CONNECTIVITY request) need not know this one's type, and
+        ignored: a boolean verdict carries no path.
+        """
         impl = self.impl
         return [impl.connected(s, t) for s, t in pairs]
 

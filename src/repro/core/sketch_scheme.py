@@ -60,6 +60,7 @@ from repro.sketches.sketch import (
     eids_to_word_matrix,
     prefix_store_task,
     word_matrix_to_eids,
+    words_to_eid,
 )
 from repro.sizing.bits import bits_for_count, bits_for_id
 from repro.trees.union_find import UnionFind
@@ -340,6 +341,12 @@ def _mix_words(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return mixed
 
 
+def _scalar_view(a) -> memoryview:
+    """Zero-copy per-element reader over an array: indexing yields plain
+    Python scalars (see :class:`_PackedQueryStore`)."""
+    return memoryview(np.ascontiguousarray(a))
+
+
 class _SplitForest:
     """Stand-in for :class:`ComponentForest` when ``|F_T| = 1``.
 
@@ -368,25 +375,31 @@ class _PackedQueryStore:
     edge instead of materializing per-object labels: vertex side carries
     (component, identifier-space id, DFS-interval ancestry), edge side
     carries (component, tree bit, EID word rows, sampling key, child
-    preorder interval, endpoint ancestry).  The plain-list mirrors exist
-    because the per-query assembly phase reads single elements, where
-    Python list indexing beats numpy scalar indexing severalfold.
+    preorder interval, endpoint ancestry).  The per-vertex and per-edge
+    scalar fields are ``memoryview``s over contiguous int64/bool arrays:
+    the per-query assembly phase reads single elements, and indexing a
+    memoryview returns a plain Python ``int``/``bool`` (numpy scalar
+    indexing is slower still and returns ``np.integer``, which the wire
+    codec rejects), while the storage stays 8 (1) bytes per element with
+    no Python object per vertex or edge.  A read costs ~20 ns more than
+    a list index would; in exchange, building the store is array work
+    only, which every freshly spawned or reloaded shard worker pays.
     """
 
-    comp_v: list  # vertex -> component (comp_of)
-    vid: list  # vertex -> identifier-space id
-    tin: list  # vertex -> DFS first visit time
-    tout: list  # vertex -> DFS last visit time
-    comp_e: list  # edge -> component
-    is_tree: list  # edge -> tree bit
-    child_a: list  # tree edge -> child-subtree prefix row (else -1)
-    child_b: list  # tree edge -> one past the subtree interval
-    child_tin: list  # tree edge -> child endpoint tin (else 0)
-    child_tout: list
-    e_tin_u: list  # edge -> endpoint ancestry (decoder's d.anc_u/d.anc_v)
-    e_tout_u: list
-    e_tin_v: list
-    e_tout_v: list
+    comp_v: memoryview  # vertex -> component (comp_of)
+    vid: memoryview  # vertex -> identifier-space id
+    tin: memoryview  # vertex -> DFS first visit time
+    tout: memoryview  # vertex -> DFS last visit time
+    comp_e: memoryview  # edge -> component
+    is_tree: memoryview  # edge -> tree bit
+    child_a: memoryview  # tree edge -> child-subtree prefix row (else -1)
+    child_b: memoryview  # tree edge -> one past the subtree interval
+    child_tin: memoryview  # tree edge -> child endpoint tin (else 0)
+    child_tout: memoryview
+    e_tin_u: memoryview  # edge -> endpoint ancestry (decoder's d.anc_u/d.anc_v)
+    e_tout_u: memoryview
+    e_tin_v: memoryview
+    e_tout_v: memoryview
     root_a: list  # component -> root-subtree prefix row interval
     root_b: list
     keys: np.ndarray  # (m,) int64 identifier-space sampling keys
@@ -786,11 +799,13 @@ class SketchConnectivityScheme:
 
     @property
     def _eid_cache(self) -> list:
-        """Packed EIDs by edge index (lazily decoded from the word
-        matrix on the vectorized path — labels need Python ints, the
-        sketch builder does not).  The word matrix itself stays live on
-        the vectorized engine: it is the packed edge-label store the
-        batched decoder cancels faults from."""
+        """Packed EIDs by edge index as Python ints — an m-long list,
+        decoded from the word matrix on first use on the vectorized
+        path.  Only the scalar label API (:meth:`edge_label`,
+        :meth:`edge_for_eid`, :meth:`decode`) materializes it; the
+        batched decoder reads the word matrix (the packed edge-label
+        store it cancels faults from) and decodes just the rows it
+        extracts."""
         if self._eid_ints is None:
             self._eid_ints = word_matrix_to_eids(self._eid_words)
         return self._eid_ints
@@ -872,21 +887,22 @@ class SketchConnectivityScheme:
         )
         mixed = _mix_words(eid_words, mix_consts)
         order = np.argsort(mixed, kind="stable")
+        view = _scalar_view
         self._qstore = _PackedQueryStore(
-            comp_v=list(self.comp_of),
-            vid=vid.tolist(),
-            tin=tin.tolist(),
-            tout=tout.tolist(),
-            comp_e=comp_e.tolist(),
-            is_tree=is_tree.tolist(),
-            child_a=child_a.tolist(),
-            child_b=child_b.tolist(),
-            child_tin=child_tin.tolist(),
-            child_tout=child_tout.tolist(),
-            e_tin_u=e_tin_u.tolist(),
-            e_tout_u=e_tout_u.tolist(),
-            e_tin_v=e_tin_v.tolist(),
-            e_tout_v=e_tout_v.tolist(),
+            comp_v=view(np.asarray(self.comp_of, dtype=np.int64)),
+            vid=view(vid),
+            tin=view(tin),
+            tout=view(tout),
+            comp_e=view(comp_e),
+            is_tree=view(is_tree),
+            child_a=view(child_a),
+            child_b=view(child_b),
+            child_tin=view(child_tin),
+            child_tout=view(child_tout),
+            e_tin_u=view(e_tin_u),
+            e_tout_u=view(e_tout_u),
+            e_tin_v=view(e_tin_v),
+            e_tout_v=view(e_tout_v),
             root_a=root_a,
             root_b=root_b,
             keys=keys,
@@ -1667,7 +1683,7 @@ class SketchConnectivityScheme:
         # ---- Boruvka phases, one fresh unit per phase ----------------
         eids = ctx.eids
         edge_decoded = self._edge_decoded
-        eid_cache = self._eid_cache
+        eid_words = st.eid_words
         mixed_sorted, mixed_order = st.mixed_sorted, st.mixed_order
         mix_consts = st.mix_consts
         m_edges = mixed_sorted.size
@@ -1736,7 +1752,7 @@ class SketchConnectivityScheme:
                 hit = (
                     nz
                     & (mixed_sorted[pos_c] == mixed)
-                    & (flat == st.eid_words[cand_ei]).all(axis=1)
+                    & (flat == eid_words[cand_ei]).all(axis=1)
                 )
                 hit_ei = cand_ei
             else:  # pragma: no cover - hard queries imply edges
@@ -1780,7 +1796,7 @@ class SketchConnectivityScheme:
                     ei = int(hit_ei[fr])
                     d = edge_decoded.get(ei)
                     if d is None:
-                        d = eids.try_decode(eid_cache[ei])
+                        d = eids.try_decode(words_to_eid(eid_words[ei]))
                         edge_decoded[ei] = d
                 forest = forests[h]
                 cu = forest.locate(d.anc_u)

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.api import FaultTolerantDistance
+from repro.core.api import FaultTolerantConnectivity, FaultTolerantDistance
 from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
+from repro.oracles.connectivity import ConnectivityOracle
 from repro.routing.fault_tolerant import FaultTolerantRouter
 from repro.server import AsyncQueryClient, QueryClient
 from repro.store import save_snapshot
@@ -104,6 +105,29 @@ def test_distance_bit_identical_object_and_snapshot(family, tmp_path):
             with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
                 got = client.distance(pairs, faults)
                 assert got == expected  # float bits survive the wire
+
+
+@pytest.mark.network
+@pytest.mark.parametrize("scheme", ["cycle_space", "sketch"])
+def test_connectivity_facade_snapshot_served_matches_oracle(scheme, tmp_path):
+    # A ``build --artifact connectivity`` snapshot holds the boolean
+    # facade; the server forwards ``want_path`` on every CONNECTIVITY
+    # frame, which the facade's partition must accept and ignore.
+    graph = _graph("random")
+    conn = FaultTolerantConnectivity(graph, f=3, scheme=scheme, seed=37)
+    oracle = ConnectivityOracle(graph)
+    snap = str(tmp_path / "conn.snap")
+    save_snapshot(snap, conn)
+
+    with ServerThread(None, snapshot=snap) as harness:
+        with QueryClient("127.0.0.1", harness.port, timeout=60) as client:
+            for seed in range(38, 41):
+                pairs, faults = _stream(graph, 12, seed=seed)
+                expected = oracle.connected_many(pairs, faults)
+                assert client.connectivity(pairs, faults) == expected
+                assert client.connectivity(
+                    pairs, faults, want_path=False
+                ) == expected
 
 
 @pytest.mark.network

@@ -11,6 +11,7 @@ of serving garbage.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
 
@@ -28,6 +29,13 @@ from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.routing.fault_tolerant import FaultTolerantRouter
+from repro.server.protocol import (
+    FrameDecoder,
+    FrameType,
+    encode_frame,
+    sk_result_to_wire,
+    wire_to_sk_result,
+)
 from repro.store import (
     SnapshotError,
     load_snapshot,
@@ -110,6 +118,69 @@ def test_sketch_m61_ragged_round_trip_bit_identical(tmp_path):
     # the ragged change-point arrays are mmap views, not copies
     assert not restored._prefix[0].keys.flags.writeable
     assert not restored._prefix[0].vals.flags.writeable
+
+
+def test_restored_sketch_decodes_without_materializing_python_stores(tmp_path):
+    """The batched decoder after a snapshot load reads the packed arrays
+    zero-copy: no m-long Python EID list, no list mirrors of the store,
+    and every answer field a plain ``int`` that survives the wire."""
+    graph = generators.random_connected_graph(64, extra_edges=96, seed=26)
+    fresh = SketchConnectivityScheme(graph, seed=9, id_space=50_000)
+    assert fresh.hash_family == "m61"
+    is_tree = fresh._packed_store().is_tree
+    tree_edges = [ei for ei in range(graph.m) if is_tree[ei]]
+    rnd = random.Random(37)
+    pairs = [tuple(rnd.sample(range(graph.n), 2)) for _ in range(24)]
+    faults = rnd.sample(tree_edges, 3) + rnd.sample(range(graph.m), 2)
+    path = tmp_path / "sketch_zero_copy.snap"
+    save_snapshot(path, fresh)
+    restored = load_snapshot(path)
+
+    part = restored.decode_partition(faults)
+    answered = part.answer_many(pairs, want_path=True)
+    queried = restored.query_many(pairs, faults)
+    assert answered == fresh.decode_partition(faults).answer_many(pairs)
+    assert queried == fresh.query_many(pairs, faults)
+
+    assert restored._eid_ints is None
+    st = restored._packed_store()
+    for field in dataclasses.fields(st):
+        value = getattr(st, field.name)
+        assert not (isinstance(value, list) and len(value) >= graph.m), field.name
+
+    def plain(x):
+        return x is None or type(x) is int
+
+    segments = [
+        seg for res in answered + queried if res.path for seg in res.path.segments
+    ]
+    assert any(seg.kind == "edge" for seg in segments)
+    for res in answered + queried:
+        if res.path is not None:
+            assert plain(res.path.s) and plain(res.path.t)
+    for seg in segments:
+        assert all(
+            plain(v)
+            for v in (seg.x, seg.y, seg.port_x, seg.port_y,
+                      seg.tlabel_x, seg.tlabel_y, seg.eid)
+        )
+    decoded = [d for _f, _uf, merges, _p in part.entries.values() for d, _a, _b in merges]
+    assert decoded
+    for d in decoded:
+        assert all(
+            plain(v)
+            for v in (d.u, d.v, *d.anc_u, *d.anc_v, d.port_u, d.port_v,
+                      d.tlabel_u, d.tlabel_v, d.raw)
+        )
+
+    for results in (answered, queried):
+        wire = encode_frame(
+            FrameType.CONNECTIVITY_REPLY, 1, [sk_result_to_wire(a) for a in results]
+        )
+        decoder = FrameDecoder()
+        decoder.feed(wire)
+        (frame,) = list(decoder.frames())
+        assert [wire_to_sk_result(v) for v in frame.payload] == results
 
 
 def test_sketch_forced_ragged_m31_round_trip(tmp_path):
