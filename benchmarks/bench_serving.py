@@ -129,7 +129,7 @@ def measure_workload(
     first_s = time.perf_counter() - t0
     if [r.connected for r in first] != [r.connected for r in cold]:
         raise AssertionError("coalesced verdicts diverge")  # pragma: no cover
-    first_hit_rate = cache.stats.hit_rate
+    first_hit_rate = cache.snapshot()["hit_rate"]
 
     # Warm passes: the steady serving state (every partition cached).
     best_warm = float("inf")
@@ -158,8 +158,8 @@ def measure_workload(
         "warm_qps": round(count / best_warm, 1),
         "warm_us_per_query": round(best_warm / count * 1e6, 2),
         "first_pass_hit_rate": round(first_hit_rate, 4),
-        "chunks": coalescer.stats.chunks,
-        "mean_chunk": round(coalescer.stats.mean_chunk, 1),
+        "chunks": coalescer.chunk_sizes.count,
+        "mean_chunk": round(coalescer.chunk_sizes.mean, 1),
         "speedup": round(best_cold / best_warm, 2) if best_warm > 0 else float("inf"),
         "first_pass_speedup": (
             round(best_cold / first_s, 2) if first_s > 0 else float("inf")

@@ -464,12 +464,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if [r.connected for r in served] != verdicts:
         print("  ERROR: cached verdicts diverge from cold decode")
         return 1
-    stats = cache.stats
+    chunks = coalescer.chunk_sizes
     print(
         f"  coalesced + cached   : {len(stream) / warm_s:10.0f} q/s  "
-        f"({cold_s / warm_s:.1f}x, hit rate {stats.hit_rate:.0%}, "
-        f"{coalescer.stats.chunks} chunks, "
-        f"mean {coalescer.stats.mean_chunk:.0f}/chunk)"
+        f"({cold_s / warm_s:.1f}x, "
+        f"hit rate {cache.snapshot()['hit_rate']:.0%}, "
+        f"{chunks.count} chunks, mean {chunks.mean:.0f}/chunk)"
     )
 
     if args.shards > 0:
@@ -489,7 +489,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             if [r.connected for r in sharded] != verdicts:
                 print("  ERROR: sharded verdicts diverge from cold decode")
                 return 1
-            snap = svc.stats().snapshot()
+            snap = svc.stats()
         print(
             f"  sharded x{args.shards} ({snap['mode']})    : "
             f"{len(stream) / shard_s:10.0f} q/s  "

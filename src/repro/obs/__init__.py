@@ -11,7 +11,9 @@ One consistent measurement layer for every tier of the serving stack:
   wire protocol by an optional trace-id header field;
 * :class:`PhaseTimer` — ordered build-phase attribution replacing the
   hand-rolled ``build_phase_s`` / ``phase_s`` dict threading;
-* :func:`render_prometheus` — text exposition for ``cli stats``.
+* :func:`render_prometheus` — text exposition for ``cli stats``;
+* :func:`stats_blocks` — the STATS reply's ``server``/``service``/
+  ``coalescers`` blocks, read off a registry dump.
 
 See ``src/repro/obs/README.md`` and ``docs/ARCHITECTURE.md`` §12 for
 the metric naming scheme and the span timeline diagram.
@@ -28,6 +30,7 @@ from .registry import (
     bucket_index,
     bucket_upper_edge,
     render_prometheus,
+    stats_blocks,
 )
 from .tracing import SlowQueryLog, Trace, mint_trace_id
 
@@ -45,4 +48,5 @@ __all__ = [
     "bucket_upper_edge",
     "mint_trace_id",
     "render_prometheus",
+    "stats_blocks",
 ]

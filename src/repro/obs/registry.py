@@ -220,9 +220,10 @@ class Histogram:
 
 
 class _Noop:
-    """Shared do-nothing instrument of a disabled registry."""
+    """Shared do-nothing instrument of a disabled registry (reads 0)."""
 
     __slots__ = ()
+    value = 0
 
     def inc(self, amount=1):
         pass
@@ -426,6 +427,94 @@ def render_prometheus(dump: dict, prefix: str = "repro") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _chunk_shape(hist: Optional[dict], ndigits: int) -> dict:
+    """Chunk shape off a chunk-size histogram dump: count = chunks,
+    sum = queries, max = largest chunk."""
+    hist = hist or {}
+    chunks, queries = int(hist.get("count", 0)), int(hist.get("sum", 0))
+    return {
+        "chunks": chunks,
+        "queries": queries,
+        "max_chunk": int(hist.get("max") or 0),
+        "mean_chunk": round(queries / chunks, ndigits) if chunks else 0.0,
+    }
+
+
+def _cache_block(counters: dict, gauges: dict, prefix: str) -> dict:
+    hits = int(counters.get(prefix + "hits", 0))
+    misses = int(counters.get(prefix + "misses", 0))
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": int(counters.get(prefix + "evictions", 0)),
+        "entries": int(gauges.get(prefix + "entries", 0)),
+        "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
+    }
+
+
+def stats_blocks(
+    dump: dict,
+    mode: Optional[str] = None,
+    num_shards: int = 0,
+    coalescers: Optional[dict] = None,
+) -> dict:
+    """The ``server``/``service``/``coalescers`` blocks of a STATS reply.
+
+    Every number is read off ``dump`` (a :meth:`MetricsRegistry.to_wire`
+    payload) — the registry is the only counter store, so these blocks
+    are views, never a second tally; a dump of a disabled registry reads
+    0 everywhere.  ``mode`` (the shard service's start method, or
+    ``"local"``) adds the ``service`` block with ``num_shards`` per-shard
+    entries; ``coalescers`` maps a keyword-shape label to that
+    coalescer's chunk-size histogram dump.
+    """
+    counters = dump.get("counters", {})
+    gauges = dump.get("gauges", {})
+    count = lambda name: int(counters.get(name, 0))
+    level = lambda name: int(gauges.get(name, 0))
+    errors = "server.errors."
+    blocks = {
+        "server": {
+            "connections_total": count("server.connections_total"),
+            "connections_open": level("server.connections_open"),
+            "frames": count("server.frames_total"),
+            "queries": count("server.queries_total"),
+            "errors": {
+                name[len(errors):]: int(n)
+                for name, n in counters.items()
+                if name.startswith(errors)
+            },
+            "protocol_errors": count("server.protocol_errors"),
+            "reloads": count("server.reloads"),
+        },
+        "coalescers": {
+            label: _chunk_shape(hist, 2)
+            for label, hist in (coalescers or {}).items()
+        },
+    }
+    if mode is not None:
+        shape = _chunk_shape(dump.get("histograms", {}).get("shard.chunk_size"), 1)
+        shards = range(num_shards)
+        blocks["service"] = {
+            "mode": mode,
+            "queries": count("service.queries"),
+            "chunks": count("service.chunks"),
+            "mean_chunk": shape["mean_chunk"],
+            "max_chunk": shape["max_chunk"],
+            "per_shard": [count(f"shard.{i}.queries") for i in shards],
+            "hot_keys": level("service.hot_keys"),
+            "replicated_chunks": count("service.replicated_chunks"),
+            "pool_restarts": count("service.pool_restarts"),
+            "queue_depth": [level(f"shard.{i}.queue_depth") for i in shards],
+            "per_shard_cache": [
+                _cache_block(counters, gauges, f"shard.{i}.cache_")
+                for i in shards
+            ],
+            "cache": _cache_block(counters, gauges, "cache."),
+        }
+    return blocks
+
+
 class PhaseTimer:
     """Ordered wall-clock phase attribution (the ``phase_s`` spine).
 
@@ -511,4 +600,5 @@ __all__ = [
     "bucket_index",
     "bucket_upper_edge",
     "render_prometheus",
+    "stats_blocks",
 ]

@@ -160,9 +160,9 @@ class PackedRouteEngine:
         """Aggregate hit/miss/size counters over every instance cache."""
         hits = misses = evictions = entries = 0
         for cache in self._caches.values():
-            hits += cache.stats.hits
-            misses += cache.stats.misses
-            evictions += cache.stats.evictions
+            hits += cache.hits.value
+            misses += cache.misses.value
+            evictions += cache.evictions.value
             entries += len(cache)
         return {
             "caches": len(self._caches),

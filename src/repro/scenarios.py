@@ -251,7 +251,7 @@ class FaultScenario:
             "landmark_pairs": pairs,
             "reachable_pairs": reachable,
             "partitioned": reachable < pairs,
-            "partition_cache": self._conn_cache.stats.snapshot(),
+            "partition_cache": self._conn_cache.snapshot(),
         }
         if self._router is not None:
             tot = dict(self._route_totals)

@@ -34,7 +34,6 @@ from repro.server.protocol import (
 from repro.server.server import (
     BadQueryError,
     LabelServer,
-    ServerStats,
     ShardLostError,
     run_server,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ProtocolError",
     "QueryClient",
     "ServerError",
-    "ServerStats",
     "ShardLostError",
     "StatsReport",
     "encode_frame",

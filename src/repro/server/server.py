@@ -49,12 +49,11 @@ import multiprocessing
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
 from repro.core.sketch_scheme import SkDecodeResult
-from repro.obs import MetricsRegistry, SlowQueryLog, Trace
+from repro.obs import MetricsRegistry, SlowQueryLog, Trace, stats_blocks
 from repro.serving.coalescer import AsyncQueryCoalescer
 from repro.serving.shards import ShardedQueryService
 from repro.server.protocol import (
@@ -108,34 +107,6 @@ def _graph_dims(meta: dict) -> tuple[Optional[int], Optional[int]]:
             if n is not None:
                 return n, m
     return None, None
-
-
-@dataclass
-class ServerStats:
-    """Parent-side counters of one :class:`LabelServer`."""
-
-    connections_total: int = 0
-    connections_open: int = 0
-    frames: int = 0
-    queries: int = 0
-    errors: dict = field(default_factory=dict)  # ErrorCode name -> count
-    reloads: int = 0
-    protocol_errors: int = 0
-
-    def count_error(self, code: ErrorCode) -> None:
-        name = code.name
-        self.errors[name] = self.errors.get(name, 0) + 1
-
-    def snapshot(self) -> dict:
-        return {
-            "connections_total": self.connections_total,
-            "connections_open": self.connections_open,
-            "frames": self.frames,
-            "queries": self.queries,
-            "errors": dict(self.errors),
-            "protocol_errors": self.protocol_errors,
-            "reloads": self.reloads,
-        }
 
 
 class _Generation:
@@ -199,10 +170,6 @@ class _Generation:
             self.service.close()
             self.service = None
         self.router = None
-        # The snapshot mmap lives exactly as long as the numpy views
-        # into it; collect now so a reload measurably releases the old
-        # file (asserted by the hot-reload test via /proc/self/maps).
-        gc.collect()
 
 
 class LabelServer:
@@ -260,10 +227,10 @@ class LabelServer:
         )
         self.hot_key_share = hot_key_share
         self.install_sighup = install_sighup
-        self.stats = ServerStats()
-        #: registry for the front door's own metrics; shard-worker and
-        #: service registries are merged in at STATS time.  ``metrics=
-        #: False`` turns every instrument into a shared no-op (the
+        #: registry for the front door's own metrics — the server's only
+        #: counter store; shard-worker and service registries are merged
+        #: in at STATS time.  ``metrics=False`` turns every instrument
+        #: into a shared no-op, so STATS counters read 0 (the
         #: metrics-off arm of ``benchmarks/bench_obs.py``).
         self.metrics_enabled = metrics
         self.obs = MetricsRegistry(enabled=metrics)
@@ -294,17 +261,35 @@ class LabelServer:
     # Generations
     # ------------------------------------------------------------------
     def _build_generation(self, path: Optional[str]) -> _Generation:
-        """Construct a serving generation (runs in a worker thread)."""
-        self._versions += 1
-        version = self._versions
+        """Construct a serving generation (runs in a worker thread).
+
+        The version number is allocated only once the generation has
+        built, so a failed reload leaves no gap in the sequence.
+        """
         if path is None:
             obj = self._backend
             kind = _kind_of(obj)
             n, m = obj.graph.n, obj.graph.m
-            if _KIND_QUERY[kind] is FrameType.ROUTE:
-                return _Generation(version, kind, None, None, obj, n, m)
+        else:
+            from repro.store import load_snapshot, snapshot_info
+
+            info = snapshot_info(path)
+            kind = info["kind"]
+            if kind not in _KIND_QUERY:
+                raise ValueError(
+                    f"snapshot {path} holds unservable kind {kind!r}"
+                )
+            n, m = _graph_dims(info["meta"])
+            obj = None
+        service = router = None
+        if _KIND_QUERY[kind] is FrameType.ROUTE:
+            router = obj if path is None else load_snapshot(path)
+        else:
+            # With a snapshot path the shard workers open the file
+            # themselves (see ShardedQueryService.from_snapshot).
             service = ShardedQueryService(
                 obj,
+                snapshot=path,
                 num_shards=self.num_shards,
                 cache_capacity=self.cache_capacity,
                 max_chunk=self.max_chunk,
@@ -313,28 +298,8 @@ class LabelServer:
                 chunk_timeout=self.chunk_timeout,
                 metrics=self.metrics_enabled,
             )
-            return _Generation(version, kind, None, service, None, n, m)
-        from repro.store import load_snapshot, snapshot_info
-
-        info = snapshot_info(path)
-        kind = info["kind"]
-        if kind not in _KIND_QUERY:
-            raise ValueError(f"snapshot {path} holds unservable kind {kind!r}")
-        n, m = _graph_dims(info["meta"])
-        if _KIND_QUERY[kind] is FrameType.ROUTE:
-            router = load_snapshot(path)
-            return _Generation(version, kind, path, None, router, n, m)
-        service = ShardedQueryService.from_snapshot(
-            path,
-            num_shards=self.num_shards,
-            mp_context=self.mp_context,
-            cache_capacity=self.cache_capacity,
-            max_chunk=self.max_chunk,
-            hot_key_share=self.hot_key_share,
-            chunk_timeout=self.chunk_timeout,
-            metrics=self.metrics_enabled,
-        )
-        return _Generation(version, kind, path, service, None, n, m)
+        self._versions += 1
+        return _Generation(self._versions, kind, path, service, router, n, m)
 
     @property
     def generation(self) -> _Generation:
@@ -417,25 +382,40 @@ class LabelServer:
         the event loop, atomically redirects new requests to it, then
         drains and closes the old generation.  Returns
         ``(old_version, new_version, kind)``.
+
+        An unusable snapshot (missing, truncated, corrupt, or of a kind
+        this server cannot serve) raises :class:`BadQueryError` and
+        changes nothing: the old generation keeps serving and no
+        version number is consumed.
         """
         if path is None:
             path = self.generation.path
         if path is None:
-            raise ValueError(
+            raise BadQueryError(
                 "object-backed server has no snapshot path to reload"
             )
         loop = asyncio.get_running_loop()
         async with self._reload_lock:
-            new = await loop.run_in_executor(
-                self._reload_executor, partial(self._build_generation, path)
-            )
+            try:
+                new = await loop.run_in_executor(
+                    self._reload_executor,
+                    partial(self._build_generation, path),
+                )
+            except ValueError as exc:  # SnapshotError is a ValueError
+                raise BadQueryError(f"cannot reload {path}: {exc}") from exc
             old = self._gen
             self._gen = new  # the swap: atomic on the loop thread
             self._snapshot_path = path
-            self.stats.reloads += 1
             self.obs.counter("server.reloads").inc()
             await old.drain()
             await old.aclose()
+            # The old snapshot's mmap lives exactly as long as the numpy
+            # views into it.  Collect on the blocking thread: it runs
+            # items in order, so the last work item it ran (a
+            # ``service.query_many`` partial holding the old scheme) has
+            # been dropped by then, and the reload measurably releases
+            # the old file (the hot-reload test reads /proc/self/maps).
+            await loop.run_in_executor(self._blocking, gc.collect)
             return old.version, new.version, new.kind
 
     async def _reload_quietly(self) -> None:
@@ -533,10 +513,7 @@ class LabelServer:
                 return await self._service_chunk(_gen, pairs, faults, _kw)
 
             coalescer = AsyncQueryCoalescer(
-                backend,
-                max_chunk=self.max_chunk,
-                max_delay=self.max_delay,
-                chunk_hist=self.obs.histogram("server.coalesce_chunk_size"),
+                backend, max_chunk=self.max_chunk, max_delay=self.max_delay
             )
             gen.coalescers[key] = coalescer
         return coalescer
@@ -623,7 +600,6 @@ class LabelServer:
                 )
             self._validate(gen, pairs, faults)
             kw = {} if want_path is None else {"want_path": want_path}
-            self.stats.queries += len(pairs)
             self.obs.counter("server.queries_total").inc(len(pairs))
             answers = await self._query_via_service(
                 gen, pairs, faults, kw, trace=trace
@@ -650,7 +626,6 @@ class LabelServer:
                     "answer ROUTE queries"
                 )
             self._validate(gen, pairs, faults)
-            self.stats.queries += len(pairs)
             self.obs.counter("server.queries_total").inc(len(pairs))
             t0 = time.perf_counter()
             results = await asyncio.get_running_loop().run_in_executor(
@@ -665,6 +640,38 @@ class LabelServer:
         raise _Unsupported(f"server cannot answer {frame.type.name} frames")
 
     async def _stats_payload(self, gen: _Generation) -> str:
+        """The STATS reply: one registry dump and the views read off it.
+
+        The front door's registry is merged (exactly — one bucket
+        family) with the service's dump, which carries every shard
+        worker's; the ``server``/``service``/``coalescers`` blocks are
+        :func:`~repro.obs.stats_blocks` views of that merge.
+        """
+        merged = MetricsRegistry(enabled=self.metrics_enabled)
+        merged.merge_wire(self.obs.to_wire())
+        if gen.service is not None:
+            # round-trips every pool worker once — blocking, so off the
+            # loop (and bounded by the caller's deadline)
+            merged.merge_wire(
+                await asyncio.get_running_loop().run_in_executor(
+                    self._blocking, gen.service.registry_dump
+                )
+            )
+        # A coalescer's histogram is its own, not a registry instrument:
+        # with metrics off its block reads 0 like every other counter.
+        coalescers = {}
+        for key, coalescer in gen.coalescers.items():
+            sizes = coalescer.chunk_sizes.to_dict()
+            merged.merge_wire(
+                {"histograms": {"server.coalesce_chunk_size": sizes}}
+            )
+            coalescers[repr(dict(key))] = sizes if self.metrics_enabled else {}
+        blocks = stats_blocks(
+            merged.to_wire(),
+            mode=None if gen.service is None else gen.service.mode,
+            num_shards=0 if gen.service is None else gen.service.num_shards,
+            coalescers=coalescers,
+        )
         payload = {
             "version": gen.version,
             "kind": gen.kind,
@@ -673,39 +680,10 @@ class LabelServer:
             "n": gen.n,
             "m": gen.m,
             "metrics_enabled": self.metrics_enabled,
-            "server": self.stats.snapshot(),
+            **blocks,
+            "metrics": merged.snapshot(),
+            "slow_queries": self.slow_log.snapshot(),
         }
-        service_wire = None
-        if gen.service is not None:
-            # ``stats_bundle()`` round-trips every pool worker once —
-            # blocking, so off the loop (and bounded by the caller's
-            # deadline) — returning both the legacy counters and the
-            # uniform registry dump (queue depth, per-shard cache
-            # hit rates, exact-merged worker histograms).
-            service_stats, service_wire = (
-                await asyncio.get_running_loop().run_in_executor(
-                    self._blocking, gen.service.stats_bundle
-                )
-            )
-            payload["service"] = service_stats.snapshot()
-        coalesced = {}
-        for key, coalescer in gen.coalescers.items():
-            coalesced[repr(dict(key))] = {
-                "chunks": coalescer.stats.chunks,
-                "queries": coalescer.stats.queries,
-                "max_chunk": coalescer.stats.max_chunk,
-                "mean_chunk": round(coalescer.stats.mean_chunk, 2),
-            }
-        payload["coalescers"] = coalesced
-        # One uniform registry dump: front-door metrics + the service's
-        # (worker registries merged exactly — same bucket family).
-        merged = MetricsRegistry(enabled=self.metrics_enabled)
-        if self.metrics_enabled:
-            merged.merge_wire(self.obs.to_wire())
-            if service_wire is not None:
-                merged.merge_wire(service_wire)
-        payload["metrics"] = merged.snapshot()
-        payload["slow_queries"] = self.slow_log.snapshot()
         return json.dumps(payload, sort_keys=True)
 
     async def _serve_frame(
@@ -798,7 +776,6 @@ class LabelServer:
         self, writer, write_lock, request_id: int, code: ErrorCode,
         message: str, trace_id: Optional[int] = None,
     ) -> None:
-        self.stats.count_error(code)
         self.obs.counter(f"server.errors.{code.name}").inc()
         await self._send(
             writer, write_lock, FrameType.ERROR, request_id,
@@ -813,8 +790,6 @@ class LabelServer:
     ) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
-        self.stats.connections_total += 1
-        self.stats.connections_open += 1
         self.obs.counter("server.connections_total").inc()
         self.obs.gauge("server.connections_open").inc()
         decoder = FrameDecoder()
@@ -831,7 +806,6 @@ class LabelServer:
                     decoder.feed(data)
                     frames = list(decoder.frames())
                 except ProtocolError as exc:
-                    self.stats.protocol_errors += 1
                     self.obs.counter("server.protocol_errors").inc()
                     await self._send_error(
                         writer, write_lock, 0, ErrorCode.BAD_FRAME, str(exc)
@@ -839,7 +813,6 @@ class LabelServer:
                     break  # the stream is garbage: close the connection
                 dec_dur = time.perf_counter() - t_dec
                 for frame in frames:
-                    self.stats.frames += 1
                     self.obs.counter("server.frames_total").inc()
                     # Every request gets a trace: the client's id when
                     # the frame carried one, a freshly minted one
@@ -872,7 +845,6 @@ class LabelServer:
                 req.cancel()
             if inflight:
                 await asyncio.gather(*inflight, return_exceptions=True)
-            self.stats.connections_open -= 1
             self.obs.gauge("server.connections_open").dec()
             try:
                 with contextlib.suppress(ConnectionError):
@@ -935,7 +907,6 @@ MPTimeoutError = multiprocessing.TimeoutError
 __all__ = [
     "BadQueryError",
     "LabelServer",
-    "ServerStats",
     "ShardLostError",
     "run_server",
 ]

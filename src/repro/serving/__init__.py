@@ -12,30 +12,29 @@ Production query serving on top of the immutable packed label stores
 * :mod:`repro.serving.shards` — a process-pool service that shares
   the packed stores with every worker (fork copy-on-write, or
   spawn-safe workers that mmap a :mod:`repro.store` snapshot) and fans
-  chunks out by fault-set hash, with a :class:`ServiceStats` snapshot.
+  chunks out by fault-set hash.
+
+Every counter of this layer lives in a :class:`repro.obs.MetricsRegistry`
+(see ``src/repro/obs/README.md``); ``ShardedQueryService.stats()`` and
+``PartitionCache.snapshot()`` are read-only views of it.
 """
 
 from repro.serving.coalescer import (
     AsyncQueryCoalescer,
-    ChunkStats,
     QueryCoalescer,
     Ticket,
 )
 from repro.serving.partition_cache import (
-    CacheStats,
     PartitionCache,
     canonical_fault_key,
     presentation_fault_key,
 )
-from repro.serving.shards import ServiceStats, ShardedQueryService, shard_of
+from repro.serving.shards import ShardedQueryService, shard_of
 
 __all__ = [
     "AsyncQueryCoalescer",
-    "CacheStats",
-    "ChunkStats",
     "PartitionCache",
     "QueryCoalescer",
-    "ServiceStats",
     "ShardedQueryService",
     "Ticket",
     "canonical_fault_key",

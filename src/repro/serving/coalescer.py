@@ -32,6 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro.obs import Histogram
 from repro.serving.partition_cache import FaultKey, canonical_fault_key
 
 Backend = Callable[[Sequence[tuple[int, int]], list[int]], list]
@@ -60,25 +61,6 @@ class Ticket:
 
     def _fill(self, value) -> None:
         self._value = value
-
-
-@dataclass
-class ChunkStats:
-    """Dispatch accounting of one coalescer."""
-
-    chunks: int = 0
-    queries: int = 0
-    max_chunk: int = 0
-
-    @property
-    def mean_chunk(self) -> float:
-        return self.queries / self.chunks if self.chunks else 0.0
-
-    def record(self, size: int) -> None:
-        self.chunks += 1
-        self.queries += size
-        if size > self.max_chunk:
-            self.max_chunk = size
 
 
 @dataclass
@@ -120,7 +102,9 @@ class QueryCoalescer:
         self.max_chunk = max_chunk
         self.max_delay = max_delay
         self.clock = clock
-        self.stats = ChunkStats()
+        #: dispatched chunk sizes: count = chunks, sum = queries,
+        #: max = largest chunk.
+        self.chunk_sizes = Histogram("chunk_size")
         self._groups: "OrderedDict[FaultKey, _Group]" = OrderedDict()
 
     @property
@@ -177,7 +161,7 @@ class QueryCoalescer:
         answers = self.backend(group.pairs, list(key))
         if len(answers) != len(group.tickets):  # pragma: no cover - tripwire
             raise RuntimeError("backend returned a short answer batch")
-        self.stats.record(len(group.pairs))
+        self.chunk_sizes.observe(len(group.pairs))
         for ticket, ans in zip(group.tickets, answers):
             ticket._fill(ans)
 
@@ -209,7 +193,6 @@ class AsyncQueryCoalescer:
         backend: Backend,
         max_chunk: int = 512,
         max_delay: float = 0.002,
-        chunk_hist=None,
     ):
         if max_chunk < 1:
             raise ValueError("max_chunk must be >= 1")
@@ -217,9 +200,8 @@ class AsyncQueryCoalescer:
         self._backend_is_async = asyncio.iscoroutinefunction(backend)
         self.max_chunk = max_chunk
         self.max_delay = max_delay
-        self.stats = ChunkStats()
-        #: optional obs histogram observing dispatched chunk sizes
-        self.chunk_hist = chunk_hist
+        #: sizes of the chunks answered (see :class:`QueryCoalescer`).
+        self.chunk_sizes = Histogram("chunk_size")
         self._groups: dict[FaultKey, _Group] = {}
         self._timers: dict[FaultKey, asyncio.TimerHandle] = {}
         self._inflight: set = set()  # async-backend dispatch tasks
@@ -332,11 +314,6 @@ class AsyncQueryCoalescer:
             if entry is not None:
                 entry[0].add_span("shard", t_disp, dur)
 
-    def _record(self, size: int) -> None:
-        self.stats.record(size)
-        if self.chunk_hist is not None:
-            self.chunk_hist.observe(size)
-
     async def _dispatch_async(self, group: _Group, key: FaultKey) -> None:
         """Await an async backend for one group (own task: a cancelled
         waiter never cancels the batch)."""
@@ -354,7 +331,7 @@ class AsyncQueryCoalescer:
         if group.traces:
             self._trace_shard(group, t_disp, time.perf_counter() - t_disp)
         if self._settle(group, answers, None):
-            self._record(len(group.pairs))
+            self.chunk_sizes.observe(len(group.pairs))
 
     def _dispatch_key(self, key: FaultKey) -> None:
         group = self._groups.pop(key, None)
@@ -381,4 +358,4 @@ class AsyncQueryCoalescer:
         if group.traces:
             self._trace_shard(group, t_disp, time.perf_counter() - t_disp)
         if self._settle(group, answers, None):
-            self._record(len(group.pairs))
+            self.chunk_sizes.observe(len(group.pairs))

@@ -11,9 +11,9 @@ out of its ``query_many``), and this module memoizes those partitions:
   tuples — so permutations and repeats of the same failure event share
   one cache entry;
 * partitions are kept in an **LRU** of bounded capacity with hit /
-  miss / eviction counters, because real fault workloads are bursty
-  (the same few fault sets are queried thousands of times while they
-  are live);
+  miss / eviction counters in the cache's metrics registry, because
+  real fault workloads are bursty (the same few fault sets are queried
+  thousands of times while they are live);
 * :meth:`PartitionCache.query_many` keeps the scheme's batched API:
   queries are grouped by canonical fault set, each group is answered
   off one partition, and answers come back in request order with the
@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.core._batch import normalize_faults
+from repro.obs import MetricsRegistry
 
 FaultKey = tuple[int, ...]
 
@@ -85,34 +85,6 @@ def group_by_canonical_key(
     return groups
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of one :class:`PartitionCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup (0.0 when nothing was looked up yet)."""
-        n = self.lookups
-        return self.hits / n if n else 0.0
-
-    def snapshot(self) -> dict:
-        """A JSON-ready copy (used by ``ServiceStats`` and benches)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
 class PartitionCache:
     """LRU-memoized ``decode_partition`` under any labeling scheme.
 
@@ -139,12 +111,14 @@ class PartitionCache:
         retry decodes); sorted-order canonicalization shares entries
         across permutations and is right for everything else.
 
-        ``obs`` is an optional :class:`~repro.obs.MetricsRegistry`: hit
-        and miss counters plus a ``cache.decode_seconds`` histogram are
-        recorded into it per *fault-set group* (never per query), so the
-        shard workers can ship exact decode-latency distributions back
-        to the serving parent.  ``None`` keeps the cache metrics-free —
-        :class:`CacheStats` is maintained either way."""
+        ``obs`` is the :class:`~repro.obs.MetricsRegistry` the cache
+        counts into — its only counter store: ``cache.hits``,
+        ``cache.misses`` and ``cache.evictions`` counters plus a
+        ``cache.decode_seconds`` histogram, recorded per *fault-set
+        group* (never per query), so the shard workers can ship exact
+        counts and decode-latency distributions back to the serving
+        parent.  ``None`` gives the cache a private registry; a disabled
+        registry (``enabled=False``) makes every counter read 0."""
         if not hasattr(scheme, "decode_partition"):
             raise TypeError(
                 f"{type(scheme).__name__} does not expose decode_partition"
@@ -154,10 +128,13 @@ class PartitionCache:
         self.scheme = scheme
         self.capacity = capacity
         self.canonicalize = canonicalize
-        self.obs = obs
+        self.obs = MetricsRegistry() if obs is None else obs
+        self.hits = self.obs.counter("cache.hits")
+        self.misses = self.obs.counter("cache.misses")
+        self.evictions = self.obs.counter("cache.evictions")
+        self._decode_seconds = self.obs.histogram("cache.decode_seconds")
         self._key = canonical_fault_key if canonicalize else presentation_fault_key
         self._lru: "OrderedDict[FaultKey, object]" = OrderedDict()
-        self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -175,22 +152,16 @@ class PartitionCache:
         part = self._lru.get(key)
         if part is not None:
             self._lru.move_to_end(key)
-            self.stats.hits += 1
-            if self.obs is not None:
-                self.obs.counter("cache.hits").inc()
+            self.hits.inc()
             return part
-        self.stats.misses += 1
         t0 = time.perf_counter()
         part = self.scheme.decode_partition(list(key))
-        if self.obs is not None:
-            self.obs.counter("cache.misses").inc()
-            self.obs.histogram("cache.decode_seconds").observe(
-                time.perf_counter() - t0
-            )
+        self.misses.inc()
+        self._decode_seconds.observe(time.perf_counter() - t0)
         self._lru[key] = part
         while len(self._lru) > self.capacity:
             self._lru.popitem(last=False)
-            self.stats.evictions += 1
+            self.evictions.inc()
         return part
 
     def query(self, s: int, t: int, faults: Iterable[int] = (), **kw):
@@ -220,6 +191,16 @@ class PartitionCache:
                 results[qi] = ans
         return results
 
+    def snapshot(self) -> dict:
+        """JSON-ready read of the cache's counters (plus the hit rate)."""
+        hits, misses = self.hits.value, self.misses.value
+        return {
+            "hits": hits,
+            "misses": misses,
+            "evictions": self.evictions.value,
+            "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
+        }
+
     def clear(self) -> None:
-        """Drop every cached partition (stats are kept)."""
+        """Drop every cached partition (the counters are kept)."""
         self._lru.clear()

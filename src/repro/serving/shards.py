@@ -22,14 +22,12 @@ processes without locks or copies.  :class:`ShardedQueryService`:
   round-robin over *every* shard instead of pinning its hash owner —
   each worker's cache builds its own replica of the partition (cheap:
   one decode per worker) and the hot key stops serializing the fleet;
-* owns its own **deadline-based flushing**: :meth:`submit` buffers
-  single queries per fault set and dispatches a buffer when it reaches
-  ``max_chunk`` *or* has been pending longer than ``flush_delay``
-  seconds (checked on every submit and on :meth:`flush_due`), so a
-  service can be fed singles directly without an external coalescer;
-* aggregates a :class:`ServiceStats` snapshot: throughput, chunk
-  sizes, per-shard load, hot-key replication, and the workers'
-  combined cache hit rate.
+* counts into one :class:`~repro.obs.MetricsRegistry` per process —
+  the parent's (chunk sizes per shard, worker seconds, hot keys, pool
+  restarts) plus every worker cache's — merged exactly by
+  :meth:`registry_dump`; :meth:`stats` is a view of that dump (chunk
+  shape, per-shard load, hot-key replication, the workers' combined
+  cache hit rate).
 
 Answers are bit-identical to the single-process scheme (construction is
 finished before the fork, so every worker holds the same store;
@@ -45,13 +43,10 @@ import os
 import signal
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core._batch import normalize_faults
-from repro.obs import MetricsRegistry
-from repro.serving.coalescer import Ticket
+from repro.obs import MetricsRegistry, stats_blocks
 from repro.serving.partition_cache import (
     FaultKey,
     PartitionCache,
@@ -121,17 +116,19 @@ def _worker_query(pairs, faults, kw):
     }
 
 
-def _worker_cache_stats():
-    """Cache counters + the worker's metrics registry (wire dump).
+def _cache_wire(cache: PartitionCache) -> dict:
+    """One shard cache's registry as a wire dump, live entry count set.
 
-    The registry dump rides along so the parent can aggregate worker
-    histograms (partition decode seconds) exactly — the fixed bucket
-    family makes the cross-process merge lossless.
+    The parent merges these dumps exactly (counters add, the fixed
+    bucket family makes histogram merges lossless).
     """
-    cache = _WORKER["cache"]
-    stats = cache.stats
-    obs_wire = cache.obs.to_wire() if cache.obs is not None else None
-    return stats.hits, stats.misses, stats.evictions, len(cache), obs_wire
+    cache.obs.gauge("cache.entries").set(len(cache))
+    return cache.obs.to_wire()
+
+
+def _worker_registry() -> dict:
+    """:func:`_cache_wire` of this pool worker's cache."""
+    return _cache_wire(_WORKER["cache"])
 
 
 def shard_of(key: FaultKey, num_shards: int) -> int:
@@ -201,93 +198,6 @@ def _reap_pool_async(pool, grace: float = _REAP_GRACE_S) -> None:
     ).start()
 
 
-@dataclass
-class ServiceStats:
-    """One snapshot of a :class:`ShardedQueryService`'s counters."""
-
-    queries: int = 0
-    chunks: int = 0
-    busy_s: float = 0.0  # wall time spent inside query_many
-    per_shard: tuple = ()
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_entries: int = 0  # live partitions across all worker caches
-    mode: str = "fork"
-    max_chunk_seen: int = 0
-    hot_keys: int = 0
-    replicated_chunks: int = 0
-    deadline_flushes: int = 0
-    pool_restarts: int = 0  # shard pools rebuilt after a lost worker
-    queue_depth: tuple = ()  # chunks in flight per shard, at snapshot time
-    per_shard_cache: tuple = ()  # one cache-counter dict per shard
-
-    @property
-    def qps(self) -> float:
-        return self.queries / self.busy_s if self.busy_s > 0 else 0.0
-
-    @property
-    def mean_chunk(self) -> float:
-        return self.queries / self.chunks if self.chunks else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        n = self.cache_hits + self.cache_misses
-        return self.cache_hits / n if n else 0.0
-
-    def snapshot(self) -> dict:
-        """JSON-ready summary (what ``serve-bench`` and benches print)."""
-        return {
-            "mode": self.mode,
-            "queries": self.queries,
-            "chunks": self.chunks,
-            "busy_s": round(self.busy_s, 4),
-            "qps": round(self.qps, 1),
-            "mean_chunk": round(self.mean_chunk, 1),
-            "max_chunk": self.max_chunk_seen,
-            "per_shard": list(self.per_shard),
-            "hot_keys": self.hot_keys,
-            "replicated_chunks": self.replicated_chunks,
-            "deadline_flushes": self.deadline_flushes,
-            "pool_restarts": self.pool_restarts,
-            "queue_depth": list(self.queue_depth),
-            "per_shard_cache": list(self.per_shard_cache),
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "evictions": self.cache_evictions,
-                "entries": self.cache_entries,
-                "hit_rate": round(self.cache_hit_rate, 4),
-            },
-        }
-
-
-@dataclass
-class _Tally:
-    """Parent-side running counters (folded into ServiceStats)."""
-
-    queries: int = 0
-    chunks: int = 0
-    busy_s: float = 0.0
-    max_chunk: int = 0
-    per_shard: list = field(default_factory=list)
-    replicated_chunks: int = 0
-    deadline_flushes: int = 0
-    pool_restarts: int = 0
-
-
-@dataclass
-class _Buffer:
-    """Pending :meth:`ShardedQueryService.submit` queries of one
-    (canonical fault set, kw) group."""
-
-    faults: list
-    kw: dict
-    pairs: list = field(default_factory=list)
-    tickets: list = field(default_factory=list)
-    born: float = 0.0
-
-
 class ShardedQueryService:
     """Fan coalesced fault-set chunks out over per-shard processes.
 
@@ -311,8 +221,6 @@ class ShardedQueryService:
         mp_context: str = "fork",
         hot_key_share: Optional[float] = 0.5,
         hot_key_min_queries: int = 512,
-        flush_delay: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
         snapshot: Optional[str] = None,
         chunk_timeout: float = _CHUNK_TIMEOUT,
         metrics: bool = True,
@@ -322,9 +230,6 @@ class ShardedQueryService:
         queries (and at least ``hot_key_min_queries`` queries were
         seen), its chunks rotate round-robin over every shard instead
         of going to the hash owner only (``None`` disables).
-        ``flush_delay`` (seconds) bounds how long a :meth:`submit`
-        buffer may sit pending before it is dispatched regardless of
-        size; ``clock`` is injectable for deterministic tests.
 
         ``chunk_timeout`` (seconds) bounds how long :meth:`query_many`
         waits for any single chunk result; a worker that takes longer
@@ -341,7 +246,10 @@ class ShardedQueryService:
         span processes that share nothing but the file (see
         :meth:`from_snapshot`).  Without a snapshot, non-fork contexts
         degrade to the in-process local mode (a spawned worker cannot
-        inherit the parent's scheme object)."""
+        inherit the parent's scheme object).
+
+        ``metrics=False`` makes every instrument — parent and worker
+        caches — a shared no-op: :meth:`stats` then reads 0."""
         if max_chunk < 1:
             raise ValueError("max_chunk must be >= 1")
         if hot_key_share is not None and not (0.0 < hot_key_share <= 1.0):
@@ -355,18 +263,19 @@ class ShardedQueryService:
         self.hot_key_share = hot_key_share
         self.hot_key_min_queries = hot_key_min_queries
         self.chunk_timeout = chunk_timeout
-        self.flush_delay = flush_delay
-        self.clock = clock
         self._key_traffic: dict[FaultKey, int] = {}
         self._total_traffic = 0
         self._hot_keys: set[FaultKey] = set()
         self._rr = 0  # round-robin pointer for replicated keys
-        self._buffers: "OrderedDict[tuple, _Buffer]" = OrderedDict()
-        self._tally = _Tally()
-        #: parent-side metrics (chunk sizes, worker seconds, queue depth);
-        #: worker registries are merged in by :meth:`registry_dump`.
+        #: parent-side metrics (chunk sizes, worker seconds, hot keys,
+        #: pool restarts); worker registries are merged in by
+        #: :meth:`registry_dump`.
         self.obs = MetricsRegistry(enabled=metrics)
         self.metrics_enabled = metrics
+        self._worker_seconds = self.obs.histogram("shard.worker_seconds")
+        self._replicated = self.obs.counter("service.replicated_chunks")
+        self._hot_gauge = self.obs.gauge("service.hot_keys")
+        self._pool_restarts = self.obs.counter("service.pool_restarts")
         self._inflight_lock = threading.Lock()
         self._inflight: list[int] = []
         self._pools: Optional[list] = None
@@ -452,7 +361,11 @@ class ShardedQueryService:
             self._pool_init = (initializer, initargs)
             self._pools = [self._make_pool() for _ in range(num_shards)]
             self._pool_epochs = [0] * num_shards
-        self._tally.per_shard = [0] * self.num_shards
+        #: per-shard chunk sizes: count = chunks, sum = queries
+        self._chunk_sizes = [
+            self.obs.histogram(f"shard.{i}.chunk_size")
+            for i in range(self.num_shards)
+        ]
         self._inflight = [0] * self.num_shards
 
     @classmethod
@@ -515,9 +428,10 @@ class ShardedQueryService:
             and traffic >= self.hot_key_share * self._total_traffic
         ):
             self._hot_keys.add(key)
+            self._hot_gauge.set(len(self._hot_keys))
         if key in self._hot_keys:
             self._rr = (self._rr + 1) % self.num_shards
-            self._tally.replicated_chunks += 1
+            self._replicated.inc()
             return self._rr
         return shard_of(key, self.num_shards)
 
@@ -530,9 +444,7 @@ class ShardedQueryService:
             if self._inflight[shard] > 0:
                 self._inflight[shard] -= 1
         if meta is not None:
-            self.obs.histogram("shard.worker_seconds").observe(
-                meta["worker_s"]
-            )
+            self._worker_seconds.observe(meta["worker_s"])
 
     def queue_depths(self) -> list[int]:
         """Chunks currently in flight, per shard (live queue depth)."""
@@ -549,24 +461,17 @@ class ShardedQueryService:
         round-robin over all shards — see :meth:`_shard_for`); answers
         return in request order with the scheme's native answer type.
         """
-        t0 = time.perf_counter()
         pairs = list(pairs)
         per = normalize_faults(pairs, faults)
         groups = group_by_canonical_key(per)
         results: list = [None] * len(pairs)
-        tally = self._tally
-        chunk_hist = self.obs.histogram("shard.chunk_size")
         dispatched = []  # (qis, shard, async_result) in pool mode
         for key, qis in groups.items():
             for lo in range(0, len(qis), self.max_chunk):
                 chunk = qis[lo : lo + self.max_chunk]
                 shard = self._shard_for(key, len(chunk))
                 chunk_pairs = [pairs[qi] for qi in chunk]
-                tally.chunks += 1
-                tally.per_shard[shard] += len(chunk)
-                if len(chunk) > tally.max_chunk:
-                    tally.max_chunk = len(chunk)
-                chunk_hist.observe(len(chunk))
+                self._chunk_sizes[shard].observe(len(chunk))
                 if self._pools is not None:
                     self._chunk_started(shard)
                     handle = self._pools[shard].apply_async(
@@ -588,8 +493,6 @@ class ShardedQueryService:
             self._chunk_finished(shard, meta)
             for qi, ans in zip(chunk, answers):
                 results[qi] = ans
-        tally.queries += len(pairs)
-        tally.busy_s += time.perf_counter() - t0
         return results
 
     def start_chunk(
@@ -624,13 +527,7 @@ class ShardedQueryService:
         key = canonical_fault_key(faults)
         pairs = list(pairs)
         shard = self._shard_for(key, len(pairs))
-        tally = self._tally
-        tally.chunks += 1
-        tally.queries += len(pairs)
-        tally.per_shard[shard] += len(pairs)
-        if len(pairs) > tally.max_chunk:
-            tally.max_chunk = len(pairs)
-        self.obs.histogram("shard.chunk_size").observe(len(pairs))
+        self._chunk_sizes[shard].observe(len(pairs))
         if self._pools is not None:
             self._chunk_started(shard)
 
@@ -712,8 +609,7 @@ class ShardedQueryService:
         old = self._pools[shard]
         self._pools[shard] = self._make_pool()
         self._pool_epochs[shard] += 1
-        self._tally.pool_restarts += 1
-        self.obs.counter("shard.pool_restarts").inc()
+        self._pool_restarts.inc()
         with self._inflight_lock:
             # everything in flight on the old pool is lost with it
             self._inflight[shard] = 0
@@ -721,182 +617,66 @@ class ShardedQueryService:
         return True
 
     # ------------------------------------------------------------------
-    # Buffered singles: size- and deadline-bounded flushing
-    # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of buffered, not yet dispatched :meth:`submit` queries."""
-        return sum(len(b.pairs) for b in self._buffers.values())
-
-    def submit(self, s: int, t: int, faults: Iterable[int] = (), **kw) -> Ticket:
-        """Buffer one query; returns a :class:`Ticket`.
-
-        The query's buffer dispatches the moment it holds ``max_chunk``
-        queries; independently, every submit checks all buffers against
-        ``flush_delay`` (when set) so no query waits longer than the
-        deadline while traffic keeps arriving.  Call :meth:`flush` (or
-        :meth:`flush_due` from a timer loop) to drain the tail.
-        """
-        key = canonical_fault_key(faults)
-        bkey = (key, tuple(sorted(kw.items())))
-        buf = self._buffers.get(bkey)
-        if buf is None:
-            buf = self._buffers[bkey] = _Buffer(
-                faults=list(key), kw=kw, born=self.clock()
-            )
-        ticket = Ticket()
-        buf.pairs.append((s, t))
-        buf.tickets.append(ticket)
-        if len(buf.pairs) >= self.max_chunk:
-            del self._buffers[bkey]
-            self._dispatch_buffer(buf)
-        if self.flush_delay is not None:
-            self.flush_due()
-        return ticket
-
-    def flush_due(self, now: Optional[float] = None) -> int:
-        """Dispatch every buffer older than ``flush_delay``; returns the
-        query count served.  No-op when no deadline is configured."""
-        if self.flush_delay is None:
-            return 0
-        now = self.clock() if now is None else now
-        served = 0
-        for bkey in list(self._buffers):
-            buf = self._buffers[bkey]
-            if now - buf.born < self.flush_delay:
-                continue
-            del self._buffers[bkey]
-            served += len(buf.pairs)
-            self._tally.deadline_flushes += 1
-            self._dispatch_buffer(buf)
-        return served
-
-    def flush(self) -> int:
-        """Dispatch every pending buffer; returns the query count served."""
-        served = 0
-        while self._buffers:
-            _bkey, buf = self._buffers.popitem(last=False)
-            served += len(buf.pairs)
-            self._dispatch_buffer(buf)
-        return served
-
-    def _dispatch_buffer(self, buf: _Buffer) -> None:
-        answers = self.query_many(buf.pairs, buf.faults, **buf.kw)
-        for ticket, ans in zip(buf.tickets, answers):
-            ticket._fill(ans)
-
-    # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def _worker_sweep(self) -> list[tuple]:
-        """One ``(hits, misses, evictions, entries, obs_wire)`` per shard.
+    def registry_dump(self) -> dict:
+        """The service's metrics as one mergeable wire dict.
 
-        Pool mode round-trips every worker (blocking); local mode reads
-        the in-process caches directly.
+        Parent instruments, every shard cache's registry merged exactly
+        (pool mode round-trips each worker once — blocking), and the
+        per-shard series read off them: ``shard.<i>.queries``, cache
+        counters, entries and hit rate, and live queue depth.
         """
-        if self._pools is not None:
-            return [pool.apply(_worker_cache_stats) for pool in self._pools]
-        sweep = []
-        for cache in self._local:
-            wire = cache.obs.to_wire() if cache.obs is not None else None
-            sweep.append(
-                (
-                    cache.stats.hits,
-                    cache.stats.misses,
-                    cache.stats.evictions,
-                    len(cache),
-                    wire,
-                )
-            )
-        return sweep
-
-    def stats(self, _sweep: Optional[list] = None) -> ServiceStats:
-        """Aggregate parent counters with the workers' cache counters."""
-        sweep = self._worker_sweep() if _sweep is None else _sweep
-        hits = misses = evictions = entries = 0
-        per_shard_cache = []
-        for h, m, e, live, _wire in sweep:
-            hits += h
-            misses += m
-            evictions += e
-            entries += live
-            per_shard_cache.append(
-                {
-                    "hits": h,
-                    "misses": m,
-                    "evictions": e,
-                    "entries": live,
-                    "hit_rate": round(h / (h + m), 4) if h + m else 0.0,
-                }
-            )
-        t = self._tally
-        return ServiceStats(
-            queries=t.queries,
-            chunks=t.chunks,
-            busy_s=t.busy_s,
-            per_shard=tuple(t.per_shard),
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_evictions=evictions,
-            cache_entries=entries,
-            mode=self.mode,
-            max_chunk_seen=t.max_chunk,
-            hot_keys=len(self._hot_keys),
-            replicated_chunks=t.replicated_chunks,
-            deadline_flushes=t.deadline_flushes,
-            pool_restarts=t.pool_restarts,
-            queue_depth=tuple(self.queue_depths()),
-            per_shard_cache=tuple(per_shard_cache),
-        )
-
-    def _registry_from_sweep(self, sweep: list) -> dict:
-        """Uniform registry dump: parent metrics, exact-merged worker
-        histograms, and per-shard gauges (queue depth, cache hit rate)."""
         merged = MetricsRegistry(enabled=self.metrics_enabled)
         if not self.metrics_enabled:
             return merged.to_wire()
-        merged.merge_wire(self.obs.to_wire())
-        t = self._tally
-        merged.counter("service.queries").inc(t.queries)
-        merged.counter("service.chunks").inc(t.chunks)
-        merged.counter("service.pool_restarts").inc(t.pool_restarts)
-        merged.counter("service.replicated_chunks").inc(t.replicated_chunks)
-        merged.counter("service.deadline_flushes").inc(t.deadline_flushes)
-        merged.gauge("service.hot_keys").set(len(self._hot_keys))
+        if self._pools is not None:
+            wires = [pool.apply(_worker_registry) for pool in self._pools]
+        else:
+            wires = [_cache_wire(cache) for cache in self._local]
+        own = self.obs.to_wire()
+        merged.merge_wire(own)
+        chunks = merged.histogram("shard.chunk_size")
         depths = self.queue_depths()
-        for shard, (h, m, e, live, wire) in enumerate(sweep):
-            if wire:
-                merged.merge_wire(wire)
-            merged.counter(f"shard.{shard}.cache_hits").inc(h)
-            merged.counter(f"shard.{shard}.cache_misses").inc(m)
-            merged.counter(f"shard.{shard}.cache_evictions").inc(e)
+        entries = 0
+        for shard, wire in enumerate(wires):
+            sizes = own["histograms"][f"shard.{shard}.chunk_size"]
+            chunks.merge_dict(sizes)
+            merged.counter(f"shard.{shard}.queries").inc(int(sizes["sum"]))
+            merged.gauge(f"shard.{shard}.queue_depth").set(depths[shard])
+            counts = wire["counters"]
+            hits, misses = counts["cache.hits"], counts["cache.misses"]
+            merged.counter(f"shard.{shard}.cache_hits").inc(hits)
+            merged.counter(f"shard.{shard}.cache_misses").inc(misses)
+            merged.counter(f"shard.{shard}.cache_evictions").inc(
+                counts["cache.evictions"]
+            )
+            live = wire["gauges"]["cache.entries"]
             merged.gauge(f"shard.{shard}.cache_entries").set(live)
             merged.gauge(f"shard.{shard}.cache_hit_rate").set(
-                h / (h + m) if h + m else 0.0
+                hits / (hits + misses) if hits + misses else 0.0
             )
-            merged.gauge(f"shard.{shard}.queue_depth").set(depths[shard])
-            merged.counter(f"shard.{shard}.queries").inc(t.per_shard[shard])
+            entries += live
+            merged.merge_wire(wire)
+        merged.gauge("cache.entries").set(entries)
+        merged.counter("service.queries").inc(int(chunks.total))
+        merged.counter("service.chunks").inc(chunks.count)
         return merged.to_wire()
 
-    def registry_dump(self) -> dict:
-        """The service's metrics as one mergeable wire dict."""
-        return self._registry_from_sweep(self._worker_sweep())
-
-    def stats_bundle(self) -> tuple[ServiceStats, dict]:
-        """``(stats(), registry_dump())`` off one worker round trip."""
-        sweep = self._worker_sweep()
-        return self.stats(_sweep=sweep), self._registry_from_sweep(sweep)
+    def stats(self) -> dict:
+        """JSON-ready service summary, read off :meth:`registry_dump`."""
+        return stats_blocks(
+            self.registry_dump(), mode=self.mode, num_shards=self.num_shards
+        )["service"]
 
     def close(self) -> None:
-        """Flush pending submits, then reap the pools (idempotent).
+        """Reap the pools (idempotent).
 
         Each pool gets :func:`_reap_pool`'s bounded shutdown — a clean
         terminate+join normally, SIGKILL escalation when a chaos event
         left the pool's queue locks poisoned — so ``close()`` returns
         in bounded time with every worker process dead either way.
         """
-        if self._buffers:
-            self.flush()
         if self._pools is not None:
             pools, self._pools = self._pools, None
             for pool in pools:

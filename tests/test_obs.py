@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -306,6 +307,118 @@ def test_stats_report_registry_dump(served_scheme):
     assert all({"hits", "misses", "hit_rate"} <= set(c) for c in per_shard)
     # the dump renders as Prometheus text without error
     assert "repro_server_queries_total" in stats.prometheus()
+
+
+#: the documented metric naming scheme, ``tier[.<shard>].metric``; the
+#: error counters append the protocol's error code (``server.errors.DEADLINE``).
+_METRIC_NAME = re.compile(
+    r"^(server|service|shard|cache)(\.\d+)?\.[a-z][a-z0-9_]*(\.[A-Z][A-Z0-9_]*)?$"
+)
+
+
+@pytest.fixture(scope="module")
+def stats_snapshot(tmp_path_factory):
+    graph = _graph(64, seed=7)
+    scheme = SketchConnectivityScheme(graph, seed=2)
+    path = tmp_path_factory.mktemp("stats") / "scheme.snap"
+    save_snapshot(path, scheme)
+    pairs = [(i, (i * 5 + 3) % graph.n) for i in range(12)]
+    return scheme, str(path), pairs, [1, 4]
+
+
+def _drive_sharded_server(snapshot, pairs, faults, metrics):
+    """Batch queries, a coalesced single, a RELOAD, then STATS."""
+    with ServerThread(
+        snapshot=snapshot, num_shards=2, metrics=metrics, deadline_s=60.0
+    ) as srv:
+        with QueryClient("127.0.0.1", srv.port, timeout=60) as client:
+            answers = [client.connectivity(pairs, faults)]
+            answers.append(client.connected(*pairs[0], faults))
+            assert client.reload() == (1, 2, "sketch")
+            answers.append(client.connectivity(pairs, faults))
+            answers.append(client.connected(*pairs[1], faults))
+            return answers, client.stats()
+
+
+def test_stats_names_follow_scheme_and_blocks_mirror_registry(stats_snapshot):
+    scheme, snapshot, pairs, faults = stats_snapshot
+    answers, stats = _drive_sharded_server(snapshot, pairs, faults, True)
+    expected = scheme.query_many(pairs, faults)
+    assert answers[0] == answers[2] == expected
+    assert answers[1] == expected[0].connected
+
+    dump = stats.metrics
+    names = [n for kind in ("counters", "gauges", "histograms") for n in dump[kind]]
+    bad = [n for n in names if not _METRIC_NAME.match(n)]
+    assert not bad, f"metric names outside tier[.<shard>].metric: {bad}"
+    assert {n.split(".")[0] for n in names} == {"server", "service", "shard", "cache"}
+
+    counters, gauges = stats.counters, stats.gauges
+    server = stats["server"]
+    assert server == {
+        "connections_total": counters["server.connections_total"],
+        "connections_open": gauges["server.connections_open"],
+        "frames": counters["server.frames_total"],
+        "queries": counters["server.queries_total"],
+        "errors": {},
+        "protocol_errors": 0,
+        "reloads": counters["server.reloads"],
+    }
+    assert server["queries"] == 2 * len(pairs) + 2
+    assert server["reloads"] == 1
+
+    # the service block describes the live (reloaded) generation
+    service = stats["service"]
+    chunks = stats.histogram("shard.chunk_size")
+    assert service["mode"] == "spawn"
+    assert service["queries"] == counters["service.queries"] == len(pairs) + 1
+    assert service["chunks"] == counters["service.chunks"] == chunks["count"]
+    assert service["max_chunk"] == chunks["max"] == len(pairs)
+    assert service["per_shard"] == [counters[f"shard.{i}.queries"] for i in (0, 1)]
+    assert sum(service["per_shard"]) == service["queries"]
+    assert service["queue_depth"] == [gauges[f"shard.{i}.queue_depth"] for i in (0, 1)]
+    assert service["hot_keys"] == gauges["service.hot_keys"]
+    assert service["replicated_chunks"] == counters["service.replicated_chunks"]
+    assert service["pool_restarts"] == counters["service.pool_restarts"] == 0
+    cache = service["cache"]
+    assert (cache["hits"], cache["misses"], cache["evictions"]) == (
+        counters["cache.hits"], counters["cache.misses"], counters["cache.evictions"],
+    )
+    assert cache["misses"] == 1  # one fault set, decoded once by its owner
+    assert cache["entries"] == gauges["cache.entries"] == 1
+    for i, shard in enumerate(service["per_shard_cache"]):
+        assert shard["hits"] == counters[f"shard.{i}.cache_hits"]
+        assert shard["misses"] == counters[f"shard.{i}.cache_misses"]
+        assert shard["entries"] == gauges[f"shard.{i}.cache_entries"]
+
+    # the reloaded generation's coalescer answered one single
+    assert stats["coalescers"] == {
+        "{'want_path': False}": {
+            "chunks": 1, "queries": 1, "max_chunk": 1, "mean_chunk": 1.0,
+        }
+    }
+    assert stats.histogram("server.coalesce_chunk_size")["count"] == 1
+
+
+def test_stats_metrics_off_reads_zero_and_answers_unchanged(stats_snapshot):
+    scheme, snapshot, pairs, faults = stats_snapshot
+    on, _ = _drive_sharded_server(snapshot, pairs, faults, True)
+    off, stats = _drive_sharded_server(snapshot, pairs, faults, False)
+    assert off == on
+    assert stats["metrics_enabled"] is False
+    assert stats.metrics == {"counters": {}, "gauges": {}, "histograms": {}}
+    assert all(v == 0 for k, v in stats["server"].items() if k != "errors")
+    assert stats["server"]["errors"] == {}
+    service = stats["service"]
+    assert service["mode"] == "spawn"
+    for key in ("queries", "chunks", "max_chunk", "mean_chunk", "hot_keys",
+                "replicated_chunks", "pool_restarts"):
+        assert service[key] == 0, key
+    assert service["per_shard"] == service["queue_depth"] == [0, 0]
+    assert set(service["cache"].values()) == {0}
+    assert all(set(c.values()) == {0} for c in service["per_shard_cache"])
+    (coalescer,) = stats["coalescers"].values()
+    assert set(coalescer.values()) == {0}
 
 
 def test_answers_and_snapshot_bit_identical_with_tracing(tmp_path):

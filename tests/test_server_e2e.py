@@ -25,8 +25,9 @@ from repro.core.sketch_scheme import SketchConnectivityScheme
 from repro.graph import generators
 from repro.oracles.connectivity import ConnectivityOracle
 from repro.routing.fault_tolerant import FaultTolerantRouter
-from repro.server import AsyncQueryClient, QueryClient
+from repro.server import AsyncQueryClient, ErrorCode, QueryClient, ServerError
 from repro.store import save_snapshot
+from repro.store.format import write_snapshot
 from tests.server_util import ServerThread
 
 FAMILIES = [
@@ -252,3 +253,71 @@ def test_hot_reload_zero_downtime_atomic_flip_and_mmap_release(tmp_path):
         if after is not None:
             assert p1 not in after, "old snapshot mmap still resident"
             assert p2 in after
+
+
+def _unusable_snapshots(tmp_path, good: str) -> list:
+    """A missing, a truncated, a bad-magic and an unservable-kind file."""
+    data = Path(good).read_bytes()
+    truncated = tmp_path / "truncated.snap"
+    truncated.write_bytes(data[: len(data) // 2])
+    bad_magic = tmp_path / "bad-magic.snap"
+    bad_magic.write_bytes(b"NOTASNAP" + data[8:])
+    bogus_kind = tmp_path / "bogus-kind.snap"
+    write_snapshot(bogus_kind, "bogus", {}, {})
+    return [tmp_path / "missing.snap", truncated, bad_magic, bogus_kind]
+
+
+@pytest.mark.network
+@pytest.mark.parametrize("num_shards", [0, 2])
+def test_failed_reload_keeps_old_generation_serving(num_shards, tmp_path):
+    """RELOAD of an unusable snapshot is a BAD_QUERY that changes
+    nothing: a live stream sees zero failed requests and v1 answers,
+    and the next good RELOAD is v1 -> v2."""
+    graph = _graph("random")
+    s1 = SketchConnectivityScheme(graph, seed=41)
+    p1 = str(tmp_path / "v1.snap")
+    p2 = str(tmp_path / "v2.snap")
+    save_snapshot(p1, s1)
+    save_snapshot(p2, SketchConnectivityScheme(graph, seed=42))
+    pairs, faults = _stream(graph, 6, seed=44)
+    exp1 = s1.query_many(pairs, faults)
+    bad = _unusable_snapshots(tmp_path, p1)
+
+    with ServerThread(snapshot=p1, num_shards=num_shards) as harness:
+
+        async def drive():
+            client = await AsyncQueryClient.connect("127.0.0.1", harness.port)
+            admin = await AsyncQueryClient.connect("127.0.0.1", harness.port)
+            answers = []
+            stop = asyncio.Event()
+
+            async def stream():
+                while not stop.is_set():
+                    answers.append(await client.connectivity(pairs, faults))
+
+            task = asyncio.ensure_future(stream())
+            try:
+                for path in bad:
+                    with pytest.raises(ServerError) as err:
+                        await admin.reload(str(path))
+                    assert err.value.code is ErrorCode.BAD_QUERY, path
+                    assert await admin.ping() == 1
+                    assert await admin.connectivity(pairs, faults) == exp1
+                    await asyncio.sleep(0.02)
+                stop.set()
+                await asyncio.wait_for(task, timeout=60)
+                assert await admin.reload(p2) == (1, 2, "sketch")
+                assert await admin.ping() == 2
+            finally:
+                stop.set()
+                await asyncio.wait_for(task, timeout=60)
+                await client.aclose()
+                await admin.aclose()
+            return answers
+
+        answers = harness.run(drive())
+
+    # zero failed requests (an error would have raised out of the
+    # stream task) and every answer from the old generation
+    assert answers, "stream issued no requests"
+    assert all(ans == exp1 for ans in answers)

@@ -74,11 +74,11 @@ def test_cache_bit_identical_to_cold_decode_sketch(name, make):
     cold = scheme.query_many(pairs, per)  # paths + phase counts included
     cache = PartitionCache(scheme, capacity=8)
     assert cache.query_many(pairs, per) == cold
-    assert cache.stats.misses == 6
+    assert cache.misses.value == 6
     # Second pass: all partitions come from the LRU, answers unchanged.
     assert cache.query_many(pairs, per) == cold
-    assert cache.stats.misses == 6
-    assert cache.stats.hits >= 6
+    assert cache.misses.value == 6
+    assert cache.hits.value >= 6
 
 
 def test_cache_verdicts_for_any_fault_order():
@@ -128,7 +128,7 @@ def test_cache_distance_scheme(base):
     pairs, per = _repeated_fault_stream(graph, 40, 4, 2, seed=14)
     cache = PartitionCache(scheme)
     assert cache.query_many(pairs, per) == scheme.query_many(pairs, per)
-    assert cache.stats.hits == 0 and cache.stats.misses == 4
+    assert cache.hits.value == 0 and cache.misses.value == 4
 
 
 def test_cache_facades():
@@ -151,18 +151,18 @@ def test_cache_lru_eviction():
     A, B, C = [0], [1], [2]
     cache.partition(A)
     cache.partition(B)
-    assert cache.stats.misses == 2 and len(cache) == 2
+    assert cache.misses.value == 2 and len(cache) == 2
     part_a = cache.partition(A)  # refreshes A in LRU order
-    assert cache.stats.hits == 1
+    assert cache.hits.value == 1
     cache.partition(C)  # evicts B (least recent), not A
-    assert cache.stats.evictions == 1
+    assert cache.evictions.value == 1
     assert A in cache and C in cache and B not in cache
     assert cache.partition(A) is part_a  # A survived the eviction
     cache.partition(B)  # miss again: B was evicted
-    assert cache.stats.misses == 4
+    assert cache.misses.value == 4
     assert len(cache) == 2
     cache.clear()
-    assert len(cache) == 0 and cache.stats.misses == 4
+    assert len(cache) == 0 and cache.misses.value == 4
 
 
 def test_cache_rejects_unsupported_backends():
@@ -197,9 +197,9 @@ def test_coalescer_orders_and_bounds_chunks():
         assert faults == canonical_fault_key(faults)  # canonical per chunk
     # size bound reached => eager dispatch: 90 queries over 4 sets makes
     # at least ceil(23/7) full chunks for the most common set
-    assert co.stats.chunks == len(dispatched)
-    assert co.stats.max_chunk == 7
-    assert co.stats.queries == 90
+    assert co.chunk_sizes.count == len(dispatched)
+    assert co.chunk_sizes.vmax == 7
+    assert co.chunk_sizes.total == 90
 
 
 def test_coalescer_chunk_boundary_is_exact():
@@ -385,16 +385,16 @@ def test_sharded_service_equals_single_process():
         assert svc.mode == "fork"
         assert svc.query_many(pairs, per) == cold
         stats = svc.stats()
-        assert stats.queries == 80
-        assert sum(stats.per_shard) == 80
-        assert stats.chunks >= 6
-        assert stats.max_chunk_seen <= 16
+        assert stats["queries"] == 80
+        assert sum(stats["per_shard"]) == 80
+        assert stats["chunks"] >= 6
+        assert stats["max_chunk"] <= 16
         # every shard's cache decoded each of its fault sets exactly once
-        assert stats.cache_misses == 6
+        assert stats["cache"]["misses"] == 6
         # second identical batch: all partition lookups hit
         assert svc.query_many(pairs, per) == cold
         stats = svc.stats()
-        assert stats.cache_misses == 6 and stats.cache_hits >= 6
+        assert stats["cache"]["misses"] == 6 and stats["cache"]["hits"] >= 6
 
 
 def test_sharded_service_local_fallback_mode():
@@ -405,7 +405,7 @@ def test_sharded_service_local_fallback_mode():
     with ShardedQueryService(scheme, num_shards=0) as svc:
         assert svc.mode == "local"
         assert svc.query_many(pairs, per) == cold
-        assert svc.stats().queries == 40
+        assert svc.stats()["queries"] == 40
 
 
 def test_sharded_service_distance_scheme():
@@ -518,51 +518,6 @@ def test_presentation_key_cache_preserves_fault_order():
     assert len(canon) == 1
 
 
-def test_service_deadline_flushing():
-    graph = generators.grid_graph(5, 5)
-    scheme = SketchConnectivityScheme(graph, seed=64)
-    fake = [0.0]
-    svc = ShardedQueryService(
-        scheme, num_shards=2, max_chunk=8, mp_context="none",
-        flush_delay=0.5, clock=lambda: fake[0],
-    )
-    try:
-        t1 = svc.submit(0, 24, [1], want_path=False)
-        t2 = svc.submit(3, 20, [1], want_path=False)
-        assert svc.pending == 2 and not t1.done
-        # Young buffers stay pending on further submits...
-        fake[0] = 0.2
-        t3 = svc.submit(4, 9, [2], want_path=False)
-        assert svc.pending == 3
-        # ...and flush once the deadline passes (checked on submit).
-        fake[0] = 0.8
-        t4 = svc.submit(6, 17, [3], want_path=False)
-        assert t1.done and t2.done and t3.done
-        direct = scheme.query_many([(0, 24)], [[1]], want_path=False)[0]
-        assert t1.result().connected == direct.connected
-        # the tail drains on flush()
-        assert not t4.done
-        svc.flush()
-        assert t4.done
-        assert svc.stats().deadline_flushes >= 2
-    finally:
-        svc.close()
-
-
-def test_service_size_bound_still_dispatches_immediately():
-    graph = generators.grid_graph(4, 4)
-    scheme = SketchConnectivityScheme(graph, seed=65)
-    svc = ShardedQueryService(scheme, num_shards=2, max_chunk=2,
-                              mp_context="none")
-    try:
-        t1 = svc.submit(0, 15, [1], want_path=False)
-        assert not t1.done
-        t2 = svc.submit(2, 13, [1], want_path=False)
-        assert t1.done and t2.done  # chunk size bound reached
-    finally:
-        svc.close()
-
-
 def test_hot_fault_set_replicates_across_shards():
     graph = generators.random_connected_graph(48, extra_edges=70, seed=66)
     scheme = SketchConnectivityScheme(graph, seed=67)
@@ -581,13 +536,11 @@ def test_hot_fault_set_replicates_across_shards():
             assert [r.connected for r in got] == expected
         svc.query_many(pairs, list(cold), want_path=False)
         stats = svc.stats()
-        assert stats.hot_keys == 1
-        assert stats.replicated_chunks > 0
+        assert stats["hot_keys"] == 1
+        assert stats["replicated_chunks"] > 0
         # the hot key's chunks landed on more than one shard
-        assert sum(1 for load in stats.per_shard if load > 0) > 1
+        assert sum(1 for load in stats["per_shard"] if load > 0) > 1
         # cold keys still pin their hash owner: one extra shard at most
-        snap = stats.snapshot()
-        assert snap["hot_keys"] == 1
     finally:
         svc.close()
 
@@ -603,10 +556,10 @@ def test_hot_key_replication_disabled():
         for _ in range(10):
             svc.query_many([(0, 15)] * 8, [1], want_path=False)
         stats = svc.stats()
-        assert stats.hot_keys == 0
-        assert stats.replicated_chunks == 0
+        assert stats["hot_keys"] == 0
+        assert stats["replicated_chunks"] == 0
         # every chunk went to the single hash owner
-        assert sum(1 for load in stats.per_shard if load > 0) == 1
+        assert sum(1 for load in stats["per_shard"] if load > 0) == 1
     finally:
         svc.close()
 
@@ -631,12 +584,12 @@ def test_hot_key_replication_fork_mode_identical_answers():
         for _ in range(6):
             got = svc.query_many(pairs, list(hot), want_path=False)
             assert [r.connected for r in got] == expected
-        assert svc.stats().hot_keys == 1
+        assert svc.stats()["hot_keys"] == 1
 
 
 # ----------------------------------------------------------------------
 # PR-5 satellites: discovery-order cache accounting, cache sizes in
-# ServiceStats, and the spawn-mode (snapshot-backed) build/serve split.
+# the service stats, and the spawn-mode (snapshot-backed) build/serve split.
 # ----------------------------------------------------------------------
 def test_presentation_cache_eviction_and_stats_accounting():
     """Hit/miss/eviction counters under discovery-order keys.
@@ -656,22 +609,22 @@ def test_presentation_cache_eviction_and_stats_accounting():
 
     cache.query_many(pairs, a)  # miss -> {a}
     cache.query_many(pairs, b)  # miss -> {a, b}
-    assert (cache.stats.hits, cache.stats.misses, cache.stats.evictions) == (0, 2, 0)
+    assert (cache.hits.value, cache.misses.value, cache.evictions.value) == (0, 2, 0)
     assert len(cache) == 2
 
     cache.query_many(pairs, a)  # hit, refreshes a -> LRU order {b, a}
-    assert cache.stats.hits == 1
+    assert cache.hits.value == 1
     cache.query_many(pairs, c)  # miss, evicts b (the coldest)
-    assert (cache.stats.misses, cache.stats.evictions) == (3, 1)
+    assert (cache.misses.value, cache.evictions.value) == (3, 1)
     assert len(cache) == 2
     assert a in cache and c in cache and b not in cache
 
     # duplicates collapse into the same discovery-order key: a hit
     cache.query_many(pairs, [a[0], a[0], a[1], a[2], a[1]])
-    assert cache.stats.hits == 2
+    assert cache.hits.value == 2
     # re-decoding the evicted order is a fresh miss, evicting again
     cache.query_many(pairs, b)
-    assert (cache.stats.misses, cache.stats.evictions) == (4, 2)
+    assert (cache.misses.value, cache.evictions.value) == (4, 2)
     # answers stay bit-identical to the cold decode throughout
     assert cache.query_many(pairs, b) == scheme.query_many(pairs, list(b))
 
@@ -700,12 +653,10 @@ def test_service_stats_expose_cache_entries():
     with ShardedQueryService(scheme, num_shards=2, mp_context="none") as svc:
         svc.query_many(pairs, per)
         stats = svc.stats()
-        assert stats.cache_entries == 4  # one live partition per fault set
-        snap = stats.snapshot()
-        assert snap["cache"]["entries"] == 4
+        assert stats["cache"]["entries"] == 4  # one live partition per fault set
     with ShardedQueryService(scheme, num_shards=2) as svc:  # fork mode
         svc.query_many(pairs, per)
-        assert svc.stats().cache_entries == 4
+        assert svc.stats()["cache"]["entries"] == 4
 
 
 def test_spawn_mode_sharded_service_equals_single_process(tmp_path):
@@ -725,12 +676,12 @@ def test_spawn_mode_sharded_service_equals_single_process(tmp_path):
         assert svc.mode == "spawn"
         assert svc.query_many(pairs, per) == cold
         stats = svc.stats()
-        assert stats.queries == 60
-        assert stats.cache_misses == 5
-        assert stats.cache_entries == 5
+        assert stats["queries"] == 60
+        assert stats["cache"]["misses"] == 5
+        assert stats["cache"]["entries"] == 5
         # second batch: pure hits, still identical
         assert svc.query_many(pairs, per) == cold
-        assert svc.stats().cache_misses == 5
+        assert svc.stats()["cache"]["misses"] == 5
 
 
 def test_spawn_without_snapshot_degrades_to_local():
